@@ -5,7 +5,7 @@
 //! scripts) relies on: the bitwise gates are green and the `summary`
 //! block is complete and internally consistent with the raw cells.
 
-use formad_serve::Json;
+use formad::Json;
 
 fn artifact() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

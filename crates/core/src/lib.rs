@@ -41,6 +41,7 @@
 
 pub mod engine;
 pub mod fingerprint;
+pub mod json;
 pub mod pipeline;
 pub mod region;
 pub mod report;
@@ -57,6 +58,7 @@ pub use formad_smt::{
     clear_dir, inspect_dir, Deadline, DirReport, DiskStats, ProofCache, SearchCore,
     DISK_FORMAT_VERSION,
 };
+pub use json::Json;
 pub use pipeline::{
     DiffResult, Formad, FormadAnalysis, FormadError, FormadErrorKind, FormadOptions,
 };

@@ -699,12 +699,11 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     if jobs <= 1 {
         drain();
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|_| drain());
+                scope.spawn(drain);
             }
-        })
-        .expect("prover worker pool");
+        });
     }
 
     // Publish worker cache overlays (candidate order; verdicts are unique

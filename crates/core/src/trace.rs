@@ -17,14 +17,15 @@
 //!   buffers in candidate order — while `perf` is allowed to vary.
 //! * [`explain`] — a human-readable proof narrative per array (the
 //!   `formad explain` subcommand).
-//! * [`validate_trace`] — schema validation of an emitted document (a
-//!   hand-rolled JSON reader; the workspace takes no serde dependency),
-//!   returning a [`TraceSummary`] for cross-checks against the report.
+//! * [`validate_trace`] — schema validation of an emitted document
+//!   (parsed with the workspace's one codec, [`crate::json`]), returning
+//!   a [`TraceSummary`] for cross-checks against the report.
 //!
 //! Tracing is strictly opt-in: when [`crate::RegionOptions::trace`] is
 //! `None`, no event is constructed, no clock is read, and no stats are
 //! snapshotted — the hot path costs one branch per site.
 
+use crate::json::{write_string, Json};
 use std::sync::{Arc, Mutex};
 
 /// Version tag of the JSON document layout.
@@ -490,58 +491,61 @@ impl TraceSink {
 // JSON rendering.
 // ---------------------------------------------------------------------
 
-/// Escape `s` into a JSON string literal (with quotes).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Ordered-field JSON object builder.
+/// Ordered-field JSON object builder. It keeps the trace's own `", "` /
+/// `": "` layout, which the compact [`Json::render`] does not.
 struct JObj {
     body: String,
 }
 
 impl JObj {
+    /// Object opened with one string field.
+    fn open(key: &str, val: &str) -> JObj {
+        let mut body = String::from("{");
+        write_string(key, &mut body);
+        body.push_str(": ");
+        write_string(val, &mut body);
+        JObj { body }
+    }
+
     /// Object opened with the standard `"ev"`/`"id"` pair.
     fn new(ev: &str, id: &str) -> JObj {
-        JObj {
-            body: format!("{{\"ev\": {}, \"id\": {}", jstr(ev), jstr(id)),
-        }
+        let mut o = JObj::open("ev", ev);
+        o.str("id", id);
+        o
     }
 
     /// Object opened with only an `"id"` (perf entries).
     fn bare(id: &str) -> JObj {
-        JObj {
-            body: format!("{{\"id\": {}", jstr(id)),
-        }
+        JObj::open("id", id)
+    }
+
+    /// Open the next field: `, "key": `.
+    fn key(&mut self, key: &str) {
+        self.body.push_str(", ");
+        write_string(key, &mut self.body);
+        self.body.push_str(": ");
     }
 
     fn str(&mut self, key: &str, val: &str) {
-        self.body
-            .push_str(&format!(", {}: {}", jstr(key), jstr(val)));
+        self.key(key);
+        write_string(val, &mut self.body);
     }
 
     fn num(&mut self, key: &str, val: u64) {
-        self.body.push_str(&format!(", {}: {val}", jstr(key)));
+        self.key(key);
+        self.body.push_str(&val.to_string());
     }
 
     fn str_list(&mut self, key: &str, vals: &[String]) {
-        let items: Vec<String> = vals.iter().map(|v| jstr(v)).collect();
-        self.body
-            .push_str(&format!(", {}: [{}]", jstr(key), items.join(", ")));
+        self.key(key);
+        self.body.push('[');
+        for (k, v) in vals.iter().enumerate() {
+            if k > 0 {
+                self.body.push_str(", ");
+            }
+            write_string(v, &mut self.body);
+        }
+        self.body.push(']');
     }
 
     fn finish(mut self) -> String {
@@ -571,7 +575,9 @@ pub fn trace_json(events: &[TraceEvent]) -> String {
     let perf: Vec<String> = events.iter().filter_map(TraceEvent::perf_json).collect();
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": {},\n", jstr(TRACE_SCHEMA)));
+    s.push_str("  \"schema\": ");
+    write_string(TRACE_SCHEMA, &mut s);
+    s.push_str(",\n");
     s.push_str(&format!("  \"events\": {},\n", deterministic_json(events)));
     s.push_str("  \"perf\": [\n");
     for (k, p) in perf.iter().enumerate() {
@@ -764,238 +770,8 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Schema validation (hand-rolled JSON reader; no serde in the workspace).
+// Schema validation.
 // ---------------------------------------------------------------------
-
-/// Minimal JSON value for validation.
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JVal> {
-        match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JVal::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[JVal]> {
-        match self {
-            JVal::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct JParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JParser<'a> {
-    fn new(src: &'a str) -> JParser<'a> {
-        JParser {
-            b: src.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("trace JSON invalid at byte {}: {msg}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JVal::Bool(true)),
-            Some(b'f') => self.literal("false", JVal::Bool(false)),
-            Some(b'n') => self.literal("null", JVal::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: JVal) -> Result<JVal, String> {
-        self.skip_ws();
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JVal::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.i) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.i) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("malformed \\u escape"))?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at c.
-                    let start = self.i - 1;
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .b
-                        .get(start..start + len)
-                        .and_then(|s| std::str::from_utf8(s).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.i = start + len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JVal, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn document(mut self) -> Result<JVal, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.i != self.b.len() {
-            return Err(self.err("trailing content"));
-        }
-        Ok(v)
-    }
-}
 
 /// One `decision` event as seen by the validator, for cross-checking a
 /// trace against the textual report.
@@ -1024,25 +800,31 @@ pub struct TraceSummary {
     pub decisions: Vec<TraceDecision>,
 }
 
-fn need_str(o: &JVal, key: &str, at: &str) -> Result<String, String> {
+fn need_str(o: &Json, key: &str, at: &str) -> Result<String, String> {
     o.get(key)
-        .and_then(JVal::as_str)
+        .and_then(Json::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("{at}: missing string field `{key}`"))
 }
 
-fn need_num(o: &JVal, key: &str, at: &str) -> Result<u64, String> {
+/// Any non-negative integral number. Wider than [`Json::as_u64`], which
+/// stops at 2^53: the renderer writes any `u64` (a saturated
+/// `max_lia_calls` is `u64::MAX`), and the validator accepts what the
+/// renderer writes.
+fn need_num(o: &Json, key: &str, at: &str) -> Result<u64, String> {
     o.get(key)
-        .and_then(JVal::as_u64)
+        .and_then(Json::as_f64)
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
         .ok_or_else(|| format!("{at}: missing integer field `{key}`"))
 }
 
-fn need_str_list(o: &JVal, key: &str, at: &str) -> Result<(), String> {
+fn need_str_list(o: &Json, key: &str, at: &str) -> Result<(), String> {
     let arr = o
         .get(key)
-        .and_then(JVal::as_arr)
+        .and_then(Json::as_arr)
         .ok_or_else(|| format!("{at}: missing array field `{key}`"))?;
-    if arr.iter().all(|v| matches!(v, JVal::Str(_))) {
+    if arr.iter().all(|v| matches!(v, Json::Str(_))) {
         Ok(())
     } else {
         Err(format!("{at}: `{key}` must contain only strings"))
@@ -1062,7 +844,7 @@ const PROVENANCE_TAGS: [&str; 5] = [
 /// pipeline segment, and that every `perf` entry references a recorded
 /// event id.
 pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
-    let doc = JParser::new(src).document()?;
+    let doc = Json::parse(src).map_err(|e| format!("trace JSON invalid: {e}"))?;
     let schema = need_str(&doc, "schema", "document")?;
     if schema != TRACE_SCHEMA {
         return Err(format!(
@@ -1071,11 +853,11 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
     }
     let events = doc
         .get("events")
-        .and_then(JVal::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("document: missing `events` array")?;
     let perf = doc
         .get("perf")
-        .and_then(JVal::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("document: missing `perf` array")?;
 
     let mut summary = TraceSummary {
@@ -1360,6 +1142,53 @@ mod tests {
         }];
         let doc = trace_json(&events);
         validate_trace(&doc).expect("escaped strings stay valid");
+    }
+
+    /// The `formad-trace/v1` bytes, pinned: field order, the `", "` /
+    /// `": "` separators, line layout and string escapes.
+    #[test]
+    fn trace_layout_is_pinned() {
+        let mut events = sample_events();
+        if let TraceEvent::Pipeline { program, .. } = &mut events[0] {
+            *program = "fig\"2\"\\\n\t\u{1}".into();
+        }
+        let expected = r#"{
+  "schema": "formad-trace/v1",
+  "events": [
+    {"ev": "pipeline", "id": "pipeline", "program": "fig\"2\"\\\n\t\u0001", "independents": ["x"], "dependents": ["y"]},
+    {"ev": "region-begin", "id": "r0", "region": 0, "loop_var": "i", "loc": 1},
+    {"ev": "model", "id": "r0/model", "region": 0, "model_size": 5, "unique_exprs": 2, "roots": 1, "facts": 4},
+    {"ev": "race-check", "id": "r0/ctx0", "region": 0, "ctx": 0, "verdict": "sat"},
+    {"ev": "phase", "id": "r0/phase/extract"},
+    {"ev": "array-begin", "id": "r0/x", "region": 0, "array": "x", "writes": 1, "entries": 1},
+    {"ev": "query", "id": "r0/x/q0", "region": 0, "array": "x", "attempt": 0, "write": "c(i$1) + 7", "entry": "c(i$1) + 7", "verdict": "unsat"},
+    {"ev": "attempt", "id": "r0/x/t0", "region": 0, "array": "x", "attempt": 0, "max_lia_calls": 10000, "max_branches": 50000, "outcome": "safe"},
+    {"ev": "decision", "id": "r0/x/decision", "region": 0, "array": "x", "decision": "shared", "provenance": "proved", "reason": ""},
+    {"ev": "region-end", "id": "r0/end", "region": 0, "queries": 1, "warnings": 0}
+  ],
+  "perf": [
+    {"id": "r0/phase/extract", "dur_us": 42},
+    {"id": "r0/x/q0", "dur_us": 7, "lia_calls": 3, "branches": 1, "propagations": 0, "conflicts": 0, "cache": "miss"},
+    {"id": "r0/end", "dur_us": 99}
+  ]
+}
+"#;
+        assert_eq!(trace_json(&events), expected);
+    }
+
+    #[test]
+    fn saturated_integer_fields_validate() {
+        // `max_lia_calls` comes from a saturating multiply, so the renderer
+        // can write `u64::MAX`; that must stay a valid trace.
+        let mut events = sample_events();
+        for e in &mut events {
+            if let TraceEvent::Attempt { max_lia_calls, .. } = e {
+                *max_lia_calls = u64::MAX;
+            }
+        }
+        let doc = trace_json(&events);
+        assert!(doc.contains("\"max_lia_calls\": 18446744073709551615"));
+        validate_trace(&doc).expect("u64::MAX is a valid integer field");
     }
 
     #[test]

@@ -20,12 +20,10 @@ pub mod gfmc;
 pub mod green_gauss;
 pub mod lbm;
 pub mod mesh;
-pub mod native;
 pub mod stencil;
 
 pub use gfmc::GfmcCase;
 pub use green_gauss::GreenGaussCase;
 pub use lbm::{lbm_ir, lbm_source, LbmExecCase, LBM_EXEC_OFFSETS, LBM_OFFSETS};
 pub use mesh::ColoredMesh;
-pub use native::NativeStencil;
 pub use stencil::StencilCase;

@@ -13,10 +13,10 @@
 //! Memory model: array elements are accessed through relaxed
 //! `AtomicU64`/`AtomicI64` views (plain `mov`s on x86-64, so the
 //! FormAD-proved *plain* discipline pays nothing), and `!$omp atomic`
-//! increments use an acquire-release CAS loop — the same discipline as
-//! [`formad_runtime::AtomicF64`]. `reduction(+: arr)` clauses privatize
-//! into reusable per-thread buffers merged in ascending thread order,
-//! replicating the interpreter's combine order bit for bit.
+//! increments use an acquire-release CAS loop on the element's bits.
+//! `reduction(+: arr)` clauses privatize into reusable per-thread buffers
+//! merged in ascending thread order, replicating the interpreter's
+//! combine order bit for bit.
 //!
 //! Per-thread state (register-file copies, tapes, reduction buffers) is
 //! allocated once per engine and reused across regions and runs, so the
@@ -73,8 +73,7 @@ impl RawView {
         unsafe { (*(self.ptr.add(off) as *const AtomicU64)).store(v.to_bits(), Ordering::Relaxed) }
     }
 
-    /// `!$omp atomic` increment: acquire-release CAS loop, the same
-    /// protocol as `formad_runtime::AtomicF64::fetch_add`.
+    /// `!$omp atomic` increment: acquire-release CAS loop.
     #[inline]
     fn fetch_add_r(&self, off: usize, v: f64) {
         debug_assert!(off < self.len);

@@ -1,22 +1,11 @@
 //! # formad-runtime
 //!
-//! A real shared-memory parallel-for runtime — the OpenMP stand-in used by
-//! the native benchmark kernels. Provides the three increment disciplines
-//! whose costs the paper compares:
-//!
-//! - plain shared writes (safe only when FormAD proved disjointness),
-//! - [`AtomicF64`] compare-and-swap increments (`!$omp atomic`),
-//! - [`ReductionBuffers`] privatized copies with a post-region merge
-//!   (`reduction(+: ...)`).
-//!
-//! Scheduling is static by contiguous chunks, matching both the simulated
-//! machine in `formad-machine` and the per-thread tape discipline of the
-//! generated adjoints.
+//! The persistent worker pool that executes parallel regions of
+//! generated programs: [`ThreadPool`], the OpenMP thread team stand-in.
+//! `formad-machine`'s execution engine owns everything above it (the
+//! static chunk schedule shared with the simulated machine, atomic and
+//! privatized increments, the reduction merge).
 
-pub mod atomic;
 pub mod pool;
-pub mod reduction;
 
-pub use atomic::{AtomicF64, AtomicF64Slice};
-pub use pool::{chunk_of, drain_global_pool, parallel_for, run_threads, ChunkIter, ThreadPool};
-pub use reduction::{ReductionBuffers, ScalarReduction};
+pub use pool::ThreadPool;

@@ -1,12 +1,13 @@
-//! Statically-scheduled parallel-for over a persistent worker pool.
+//! A persistent worker pool for parallel regions.
 //!
 //! Workers are OS threads spawned once and parked on a condvar between
 //! parallel regions, so a program that executes thousands of `!$omp
 //! parallel do` regions (every sweep of every generated adjoint) pays
-//! thread-creation cost once instead of per region. Scheduling is the
-//! same static contiguous-chunk mapping the simulated machine in
-//! `formad-machine` uses, so thread `t` owns identical iterations in
-//! both backends.
+//! thread-creation cost once instead of per region. The pool runs one
+//! job per region on workers `0..participants`; the caller maps worker
+//! `t` to its iterations (`formad-machine` uses the simulated machine's
+//! static contiguous chunks, so thread `t` owns identical iterations in
+//! every backend).
 //!
 //! A panic inside a worker is caught, carried back to the submitting
 //! thread, and re-raised there with [`std::panic::resume_unwind`] — the
@@ -15,38 +16,8 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-/// Iterator over one thread's chunk of `0..count` (static schedule,
-/// contiguous blocks — the same mapping `formad-machine` simulates).
-#[derive(Debug, Clone)]
-pub struct ChunkIter {
-    next: usize,
-    end: usize,
-}
-
-impl Iterator for ChunkIter {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        if self.next < self.end {
-            let v = self.next;
-            self.next += 1;
-            Some(v)
-        } else {
-            None
-        }
-    }
-}
-
-/// The chunk of thread `t` out of `threads` for `count` iterations.
-pub fn chunk_of(count: usize, threads: usize, t: usize) -> ChunkIter {
-    let chunk = count.div_ceil(threads.max(1));
-    ChunkIter {
-        next: (t * chunk).min(count),
-        end: ((t + 1) * chunk).min(count),
-    }
-}
 
 /// Type-erased pointer to the job closure. The pool guarantees the
 /// pointee outlives the job (the submitter blocks in [`ThreadPool::run`]
@@ -260,117 +231,10 @@ fn worker_loop(shared: Arc<PoolShared>, t: usize, mut last_epoch: u64) {
     }
 }
 
-/// The process-wide pool behind [`parallel_for`]. Guarded by a mutex so
-/// concurrent or reentrant `parallel_for` calls cannot interleave jobs;
-/// contenders fall back to scoped threads instead of blocking.
-fn global_pool() -> &'static Mutex<ThreadPool> {
-    static POOL: OnceLock<Mutex<ThreadPool>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(ThreadPool::new(0)))
-}
-
-/// Gracefully drain the process-wide pool behind [`parallel_for`]: wait
-/// for any in-flight region, then join every parked worker. The pool
-/// respawns workers on its next use, so this is safe to call at any
-/// quiesce point — a resident daemon drains on shutdown so process exit
-/// never kills a worker mid-region.
-pub fn drain_global_pool() {
-    let mut pool = global_pool().lock().unwrap_or_else(|e| e.into_inner());
-    pool.shutdown();
-}
-
-/// Run `task(t)` for `t in 0..threads`, preferring the persistent global
-/// pool and falling back to scoped threads when the pool is busy (a
-/// concurrent or nested call). Worker panics re-raise with their
-/// original payload either way.
-pub fn run_threads(threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    match global_pool().try_lock() {
-        Ok(mut pool) => {
-            pool.ensure_workers(threads);
-            pool.run(threads, task);
-        }
-        Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-            let mut pool = poisoned.into_inner();
-            pool.ensure_workers(threads);
-            pool.run(threads, task);
-        }
-        Err(std::sync::TryLockError::WouldBlock) => {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || task(t))).collect();
-                for h in handles {
-                    if let Err(p) = h.join() {
-                        resume_unwind(p);
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// Run `body(thread_id, iter)` for every `iter` in `0..count`, split into
-/// static chunks over `threads` pooled OS threads. With one thread the
-/// body runs inline — no dispatch overhead, matching the serial program
-/// versions of the paper. A worker panic re-raises on the caller with
-/// the worker's original payload.
-pub fn parallel_for<F>(threads: usize, count: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 {
-        for i in 0..count {
-            body(0, i);
-        }
-        return;
-    }
-    run_threads(threads, &|t| {
-        for i in chunk_of(count, threads, t) {
-            body(t, i);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn chunks_partition_exactly() {
-        for count in [0usize, 1, 7, 16, 100] {
-            for threads in [1usize, 2, 3, 8, 17] {
-                let mut seen = vec![0u32; count];
-                for t in 0..threads {
-                    for i in chunk_of(count, threads, t) {
-                        seen[i] += 1;
-                    }
-                }
-                assert!(
-                    seen.iter().all(|c| *c == 1),
-                    "count={count} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_for_covers_all_iterations() {
-        let hits = AtomicUsize::new(0);
-        parallel_for(4, 1000, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn single_thread_runs_inline_in_order() {
-        let mut order = Vec::new();
-        let cell = std::sync::Mutex::new(&mut order);
-        parallel_for(1, 5, |t, i| {
-            assert_eq!(t, 0);
-            cell.lock().unwrap().push(i);
-        });
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
 
     #[test]
     fn pool_reuses_workers_across_jobs() {
@@ -393,25 +257,6 @@ mod tests {
         let mut ids = seen.into_inner().unwrap();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn panic_payload_reaches_caller() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallel_for(4, 100, |_, i| {
-                if i == 37 {
-                    panic!("iteration 37 exploded");
-                }
-            });
-        }))
-        .expect_err("panic must propagate");
-        let msg = caught
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| caught.downcast_ref::<String>().cloned())
-            .expect("payload is a string");
-        assert_eq!(msg, "iteration 37 exploded");
     }
 
     #[test]
@@ -474,32 +319,5 @@ mod tests {
         assert!(err.is_err());
         pool.shutdown();
         assert_eq!(pool.workers(), 0);
-    }
-
-    #[test]
-    fn global_pool_drains_and_respawns() {
-        let hits = AtomicUsize::new(0);
-        parallel_for(3, 30, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        drain_global_pool();
-        // The drained pool revives transparently on next use.
-        parallel_for(3, 30, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 60);
-        drain_global_pool();
-        drain_global_pool();
-    }
-
-    #[test]
-    fn nested_parallel_for_falls_back_without_deadlock() {
-        let hits = AtomicUsize::new(0);
-        parallel_for(2, 4, |_, _| {
-            parallel_for(2, 10, |_, _| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 40);
     }
 }

@@ -23,11 +23,10 @@
 
 pub mod admission;
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod service;
 
 pub use admission::{Admission, Admit, Permit, ShedLevel};
-pub use json::Json;
+pub use formad::{json, Json};
 pub use server::{install_sigint_handler, interrupted, serve, ServerHandle};
 pub use service::{Service, ServiceConfig};

@@ -143,12 +143,10 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBoo
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Graceful drain: let in-flight requests answer, then park the
-    // shared runtime pool so no worker is left mid-region.
+    // Graceful drain: let in-flight requests answer.
     while active.load(Ordering::Acquire) > 0 {
         std::thread::sleep(Duration::from_millis(5));
     }
-    formad_runtime::drain_global_pool();
 }
 
 fn handle_connection(mut conn: TcpStream, service: &Service) {
@@ -190,6 +188,7 @@ fn handle_connection(mut conn: TcpStream, service: &Service) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Json;
     use std::io::{Read, Write};
 
     fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
@@ -225,6 +224,40 @@ mod tests {
         let (status, body) = post(h.addr(), "/v1/shutdown", "{}");
         assert_eq!(status, 200);
         assert!(body.contains("draining"), "{body}");
+        h.join();
+    }
+
+    #[test]
+    fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
+        // A ~400 KB (and a 1 MB) body of nested `[` is well under
+        // `MAX_BODY`; it must be a JSON parse error, never a stack
+        // overflow that aborts the daemon.
+        let mut h = serve("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        for (path, depth) in [("/v1/analyze", 400_000), ("/v1/exec", 1_000_000)] {
+            let (status, body) = post(h.addr(), path, &"[".repeat(depth));
+            assert_eq!(status, 400, "{path}: {body}");
+            assert!(body.contains("nesting deeper than"), "{path}: {body}");
+        }
+        let program = "subroutine f(n, x, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, y)
+  do i = 1, n
+    y(i) = x(i)
+  end do
+end subroutine
+";
+        let clean = obj(vec![
+            ("program", program.into()),
+            ("wrt", Json::Arr(vec!["x".into()])),
+            ("of", Json::Arr(vec!["y".into()])),
+        ]);
+        let (status, body) = post(h.addr(), "/v1/analyze", &clean.render());
+        assert_eq!(status, 200, "{body}");
+        let (status, _) = post(h.addr(), "/v1/shutdown", "{}");
+        assert_eq!(status, 200);
         h.join();
     }
 }
